@@ -488,10 +488,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_INT_KEYS = {"prime", "precision", "degree", "depth", "steps", "window",
-             "strength", "count", "level", "dim", "seed", "k"}
-
-
 def _load_preset(path: str) -> Dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -510,21 +506,14 @@ def _load_preset(path: str) -> Dict[str, str]:
     return out
 
 
-def _apply_preset(args, argv: Sequence[str]) -> None:
-    if args.preset is None:
-        return
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0])
-    for key, val in _load_preset(args.preset).items():
-        attr = key.replace("-", "_")
-        if key in explicit or not hasattr(args, attr):
-            continue
-        try:
-            setattr(args, attr, int(val) if key in _INT_KEYS else val)
-        except ValueError as exc:
-            raise UsageError(f"preset key {key} needs an integer, got {val!r}") from exc
+def _with_preset(args, argv: List[str]) -> List[str]:
+    """argv with each preset key the subcommand knows as a `--key=value`
+    token right after the subcommand name, so the parser checks preset
+    values like flags and explicit flags, parsed later, win."""
+    tokens = [f"--{key}={val}" for key, val in _load_preset(args.preset).items()
+              if hasattr(args, key)]
+    i = argv.index(args.command) + 1
+    return argv[:i] + tokens + argv[i:]
 
 
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
@@ -532,7 +521,8 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_preset(args, argv)
+        if args.preset is not None:
+            args = parser.parse_args(_with_preset(args, argv))
         text = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -93,6 +93,16 @@ def valuation_and_norm(x: Rational, p: int) -> Tuple[Optional[int], Fraction]:
     return v, (Fraction(0) if v is None else padic_norm(x, p))
 
 
+def radius_exponent(r: Rational, p: int) -> int:
+    """The exponent e with r = p^-e; ValueError unless r is a power of p."""
+    num, den = r.numerator, r.denominator
+    if num > 0:
+        e = _int_valuation(den, p) - _int_valuation(num, p)
+        if (num, den) == ((1, p**e) if e >= 0 else (p**-e, 1)):
+            return e
+    raise ValueError(f"{r} is not a power of p={p}")
+
+
 class PadicInt:
     """Element of Z_p known to K digits: a residue mod p^K.
 
@@ -596,20 +606,7 @@ class Ball:
 
     @classmethod
     def from_radius(cls, center: PadicInt, radius: Rational) -> "Ball":
-        radius = Fraction(radius)
-        p = center.prime
-        if radius <= 0:
-            raise ValueError("radius must be a positive power of p")
-        num, den = radius.numerator, radius.denominator
-        if num == 1:
-            level = 0 if den == 1 else _int_valuation(den, p)
-            ok = den == p**level
-        else:
-            level = -_int_valuation(num, p)
-            ok = den == 1 and num == p**-level
-        if not ok:
-            raise ValueError(f"radius {radius} is not a power of p={p}")
-        return cls(center, level)
+        return cls(center, radius_exponent(radius, center.prime))
 
     @property
     def prime(self) -> int:

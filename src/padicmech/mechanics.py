@@ -502,10 +502,6 @@ class ConstraintResidual(NamedTuple):
     residual: Fraction  # |measured norm - target radius| as a plain rational
 
 
-def _norm_of(x: PadicInt) -> Fraction:
-    return x.norm()
-
-
 def constraint_check(kind: str, qs: Sequence[PadicInt], *, center: Optional[PadicInt] = None,
                      radius: Optional[Fraction] = None,
                      radii: Optional[Sequence[Fraction]] = None,
@@ -561,21 +557,16 @@ def generalized_forces(forces: Sequence[MultiPoly],
     return tuple(out)
 
 
-def _split_subs(L: MultiPoly, xi_traj: Sequence[PowerSeries]) -> List[PowerSeries]:
-    m = len(xi_traj)
-    if L.nvars != 2 * m:
-        raise ValueError(f"L has {L.nvars} variables; expected 2x{m} "
-                         "(coordinates then velocities)")
-    return list(xi_traj) + [s.derive() for s in xi_traj]
-
-
 def lagrange_residual(L: MultiPoly, xi_traj: Sequence[PowerSeries]) -> Tuple[PowerSeries, ...]:
     """d/dt(dL/dxidot_j) - dL/dxi_j along the trajectory; zero certifies a solution.
 
     L's variables are ordered (xi_1..xi_M, xidot_1..xidot_M).
     """
-    subs = _split_subs(L, xi_traj)
     m = len(xi_traj)
+    if L.nvars != 2 * m:
+        raise ValueError(f"L has {L.nvars} variables; expected 2x{m} "
+                         "(coordinates then velocities)")
+    subs = list(xi_traj) + [s.derive() for s in xi_traj]
     out = []
     for j in range(m):
         a = L.partial(m + j).substitute(subs).derive()
@@ -586,11 +577,4 @@ def lagrange_residual(L: MultiPoly, xi_traj: Sequence[PowerSeries]) -> Tuple[Pow
 
 def velocity_force(V: MultiPoly, xi_traj: Sequence[PowerSeries]) -> Tuple[PowerSeries, ...]:
     """Generalized forces -dV/dxi_j + d/dt(dV/dxidot_j) for velocity-dependent V."""
-    subs = _split_subs(V, xi_traj)
-    m = len(xi_traj)
-    out = []
-    for j in range(m):
-        a = V.partial(m + j).substitute(subs).derive()
-        b = V.partial(j).substitute(subs)
-        out.append(a - b)
-    return tuple(out)
+    return lagrange_residual(V, xi_traj)

@@ -17,8 +17,9 @@ from padicmech.core import (
     PadicNumber,
     PrimeMismatch,
     check_prime,
+    radius_exponent,
 )
-from padicmech.series import PowerSeries, _norm_exponent
+from padicmech.series import PowerSeries
 
 
 def _merge_valid(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -127,14 +128,8 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check(other)
-        out: Dict[Tuple[int, ...], PadicNumber] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                out[expo] = out[expo] + c if expo in out else c
-        return MultiPoly(self.prime, self.nvars, out,
-                         _merge_valid(self.valid, other.valid))
+        valid = _merge_valid(self.valid, other.valid)
+        return MultiPoly(self.prime, self.nvars, _capped_mul(self, other, valid), valid)
 
     __rmul__ = __mul__
 
@@ -176,39 +171,31 @@ class MultiPoly:
         that common parameter."""
         if len(series) != self.nvars:
             raise ValueError(f"need {self.nvars} series, got {len(series)}")
-        for s in series:
-            if s.prime != self.prime:
-                raise PrimeMismatch(f"p={self.prime} vs p={s.prime}")
-        acc = PowerSeries.polynomial(self.prime, [0])
-        for expo, c in self.terms.items():
-            term = PowerSeries.polynomial(self.prime, [c])
-            for s, e in zip(series, expo):
-                for _ in range(e):
-                    term = term * s
-            acc = acc + term
-        return acc
+        return self._plug_in(series, lambda c: PowerSeries.polynomial(self.prime, [c]))
 
     def substitute_multi(self, inner: Sequence["MultiPoly"]) -> "MultiPoly":
         """Plug a MultiPoly in for each variable (all sharing one variable set)."""
         if len(inner) != self.nvars:
             raise ValueError(f"need {self.nvars} inner polynomials, got {len(inner)}")
         m = inner[0].nvars
+        if any(g.nvars != m for g in inner):
+            raise ValueError("inner polynomials must share one variable set")
+        return self._plug_in(inner, lambda c: MultiPoly.constant(self.prime, m, c))
+
+    def _plug_in(self, inner, constant):
+        """Sum over terms of constant(c) times the inner values raised to the
+        term's exponents; `constant(0)` starts the sum."""
         for g in inner:
-            self._checkvars(g, m)
-        acc = MultiPoly(self.prime, m, {})
+            if g.prime != self.prime:
+                raise PrimeMismatch(f"p={self.prime} vs p={g.prime}")
+        acc = constant(0)
         for expo, c in self.terms.items():
-            term = MultiPoly.constant(self.prime, m, c)
+            term = constant(c)
             for g, e in zip(inner, expo):
                 for _ in range(e):
                     term = term * g
             acc = acc + term
         return acc
-
-    def _checkvars(self, g: "MultiPoly", m: int) -> None:
-        if g.prime != self.prime:
-            raise PrimeMismatch(f"p={self.prime} vs p={g.prime}")
-        if g.nvars != m:
-            raise ValueError("inner polynomials must share one variable set")
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -246,7 +233,7 @@ def compose_series(outer: PowerSeries, inner: MultiPoly) -> MultiPoly:
             raise DomainViolation(
                 "composition into a radius-limited series needs a zero constant term",
                 reason="series-radius")
-        r_out = _norm_exponent(outer.radius, outer.prime)
+        r_out = radius_exponent(outer.radius, outer.prime)
         for expo, c in inner.terms.items():
             v = c.zero_known_to if c.is_zero else c.valuation
             if v < r_out:
@@ -259,11 +246,13 @@ def compose_series(outer: PowerSeries, inner: MultiPoly) -> MultiPoly:
     valid = _merge_valid(valid, inner.valid)
     acc = MultiPoly.constant(outer.prime, inner.nvars, outer.coeffs[outer.degree])
     for n in range(outer.degree - 1, -1, -1):
-        acc = _capped_mul(acc, inner, valid) + outer.coeffs[n]
+        acc = MultiPoly(outer.prime, inner.nvars, _capped_mul(acc, inner, valid)) + outer.coeffs[n]
     return MultiPoly(outer.prime, inner.nvars, acc.terms, valid)
 
 
-def _capped_mul(a: MultiPoly, b: MultiPoly, valid: Optional[int]) -> MultiPoly:
+def _capped_mul(a: MultiPoly, b: MultiPoly,
+                valid: Optional[int]) -> Dict[Tuple[int, ...], PadicNumber]:
+    """Term products of a and b up to total degree `valid`, as a term dict."""
     out: Dict[Tuple[int, ...], PadicNumber] = {}
     for ea, ca in a.terms.items():
         for eb, cb in b.terms.items():
@@ -272,4 +261,4 @@ def _capped_mul(a: MultiPoly, b: MultiPoly, valid: Optional[int]) -> MultiPoly:
                 continue
             c = ca * cb
             out[expo] = out[expo] + c if expo in out else c
-    return MultiPoly(a.prime, a.nvars, out)
+    return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from padicmech.core import PadicError, check_prime, padic_norm
+from padicmech.core import check_prime, padic_norm, radius_exponent
 
 
 class FrequencyRecord:
@@ -150,15 +150,5 @@ def ball_volume(r: Fraction, prime: int) -> Fraction:
     r = Fraction(r)
     if r > 1:
         raise ValueError("no ball in Z_p has radius above 1")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if r.numerator != 1:
-        raise ValueError(f"{r} is not a power of {prime}")
-    k = 0
-    d = r.denominator
-    while d % prime == 0:
-        d //= prime
-        k += 1
-    if d != 1:
-        raise ValueError(f"{r} is not a power of {prime}")
+    radius_exponent(r, prime)
     return r

@@ -28,6 +28,7 @@ from padicmech.core import (
     _int_valuation,
     check_prime,
     parse_padic_number,
+    radius_exponent,
 )
 
 DEFAULT_DEGREE = 24
@@ -49,19 +50,6 @@ def convergence_radius(p: int) -> Fraction:
     return Fraction(1, 4) if p == 2 else Fraction(1, p)
 
 
-def _norm_exponent(r: Fraction, p: int) -> int:
-    """e with r = p^-e (r must be a power of p)."""
-    if r.numerator == 1:
-        e = _int_valuation(r.denominator, p) if r.denominator > 1 else 0
-        if r.denominator == p**e:
-            return e
-    elif r.denominator == 1:
-        e = -_int_valuation(r.numerator, p)
-        if r.numerator == p**-e:
-            return e
-    raise ValueError(f"{r} is not a power of p={p}")
-
-
 class PowerSeries:
     """Degree-D truncation of sum(c_n x^n) with coefficients in Q_p."""
 
@@ -77,7 +65,7 @@ class PowerSeries:
         self.coeffs = tuple(PadicNumber.of(c, prime, precision) for c in coeffs)
         self.radius = None if radius is None else Fraction(radius)
         if self.radius is not None:
-            _norm_exponent(self.radius, prime)  # must be a power of p
+            radius_exponent(self.radius, prime)  # must be a power of p
         # polynomials are trivially certified: their tail is empty
         self.geometric = geometric or radius is None
         self.coeff_floor = coeff_floor
@@ -99,7 +87,8 @@ class PowerSeries:
         if n <= self.degree:
             c = self.coeffs[n]
             return _BIG if c.is_zero else c.valuation
-        return -_BIG  # unknown tail
+        # a polynomial's coefficients past its degree are exact zeros
+        return _BIG if self.radius is None else -_BIG
 
     def _check(self, other: "PowerSeries") -> None:
         if self.prime != other.prime:
@@ -185,14 +174,7 @@ class PowerSeries:
             d = self.degree + _min_order(other)
         else:
             d = min(self.degree, other.degree)
-        zero = PadicNumber.zero(self.prime)
-        coeffs = [zero] * (d + 1)
-        for i, a in enumerate(self.coeffs[: d + 1]):
-            if a.is_zero and a.is_exact_zero:
-                continue
-            for j in range(min(other.degree, d - i) + 1):
-                b = other.coeffs[j]
-                coeffs[i + j] = coeffs[i + j] + a * b
+        coeffs = _trunc_mul(self.coeffs, other.coeffs, d, self.prime)
         radius, geo = self._combine_domain(other)
         floor = None
         if self.coeff_floor or other.coeff_floor:
@@ -245,18 +227,18 @@ class PowerSeries:
             d = self.degree * inner.degree if self.radius is None else (self.degree + 1) * og - 1
         else:
             d = inner.degree if self.radius is None else min(self.degree, inner.degree)
-        zero = PadicNumber.zero(self.prime)
-        result = PowerSeries(self.prime, [zero] * (d + 1)) + self.coeffs[self.degree]
+        acc = [self.coeffs[self.degree]] + [PadicNumber.zero(self.prime)] * d
         for n in range(self.degree - 1, -1, -1):
-            result = _trunc_mul(result, inner, d) + self.coeffs[n]
+            acc = _trunc_mul(acc, inner.coeffs, d, self.prime)
+            acc[0] = acc[0] + self.coeffs[n]
         radius, geo, floor = self._composed_domain(inner, orders)
-        return PowerSeries(self.prime, result.coeffs, radius, geo, floor)
+        return PowerSeries(self.prime, acc, radius, geo, floor)
 
     def _composed_domain(self, inner: "PowerSeries", orders):
         p = self.prime
         if self.radius is None:
             return inner.radius, inner.geometric, None
-        r_out = _norm_exponent(self.radius, p)
+        r_out = radius_exponent(self.radius, p)
         if orders == [1]:
             # linear monomial c*x: exact rescaling, certificate survives
             vc = inner.coeffs[1].valuation
@@ -264,15 +246,12 @@ class PowerSeries:
             if self.coeff_floor:
                 def floor(n, _f=self._floor, _vc=vc):
                     return _f(n) + n * _vc
-            e = r_out - vc
-            radius = Fraction(1, p**e) if e >= 0 else Fraction(p**-e)
-            return radius, self.geometric, floor
+            return Fraction(p) ** (vc - r_out), self.geometric, floor
         # conservative: largest disc every inner term maps inside the outer radius
         e = max(-(-(r_out - inner.coeffs[j].valuation) // j) for j in orders)
         if inner.radius is not None:
-            e = max(e, _norm_exponent(inner.radius, p))
-        radius = Fraction(1, p**e) if e >= 0 else Fraction(p**-e)
-        return radius, False, None
+            e = max(e, radius_exponent(inner.radius, p))
+        return Fraction(p) ** -e, False, None
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -299,17 +278,23 @@ def _min_order(f: PowerSeries) -> int:
     return 0
 
 
-def _trunc_mul(f: PowerSeries, g: PowerSeries, d: int) -> PowerSeries:
-    zero = PadicNumber.zero(f.prime)
-    coeffs = [zero] * (d + 1)
-    for i, a in enumerate(f.coeffs[: d + 1]):
-        if a.is_zero and a.is_exact_zero:
+def _trunc_mul(f: Sequence[PadicNumber], g: Sequence[PadicNumber], d: int,
+               p: int) -> List[PadicNumber]:
+    """Coefficients 0..d of the product of two coefficient lists.
+
+    Exact-zero factors are skipped: adding an exact zero returns the other
+    operand, so the sums and their tracked precision are unchanged.
+    """
+    coeffs = [PadicNumber.zero(p)] * (d + 1)
+    g_terms = [(j, b) for j, b in enumerate(g[: d + 1]) if not b.is_exact_zero]
+    for i, a in enumerate(f[: d + 1]):
+        if a.is_exact_zero:
             continue
-        for j, b in enumerate(g.coeffs[: d + 1 - i]):
-            if b.is_zero and b.is_exact_zero:
-                continue
+        for j, b in g_terms:
+            if i + j > d:
+                break
             coeffs[i + j] = coeffs[i + j] + a * b
-    return PowerSeries(f.prime, coeffs)
+    return coeffs
 
 
 def series_combine(op: str, f: PowerSeries, g: Optional[PowerSeries] = None) -> PowerSeries:

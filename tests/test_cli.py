@@ -265,3 +265,33 @@ def test_format_switches(capsys):
     rep = json.loads(out)
     assert rep["columns"] == ["member", "value", "error_bound"]
     assert len(rep["rows"]) == 5
+
+
+def _preset(tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return str(cfg)
+
+
+def test_preset_choices_are_checked_like_flags(tmp_path, capsys):
+    rc, out, err = run(capsys, "restrict", "--q", "1", "--momentum", "1",
+                       "--preset", _preset(tmp_path, "format=xml\n"))
+    assert (rc, out) == (1, "") and "invalid choice" in err
+
+
+def test_preset_method_is_checked_like_flags(tmp_path, capsys):
+    rc, out, err = run(capsys, "simulate", "--steps", "1",
+                       "--preset", _preset(tmp_path, "method=bogus\n"))
+    assert (rc, out) == (1, "") and "invalid choice" in err
+
+
+def test_preset_cannot_set_internal_attributes(tmp_path, capsys):
+    rc, out, err = run(capsys, "series", "make", "exp",
+                       "--preset", _preset(tmp_path, "handler=x\n"))
+    assert (rc, out) == (1, "") and err.startswith("usage error")
+
+
+def test_abbreviated_flag_beats_preset(tmp_path, capsys):
+    rc, out, _ = run(capsys, "series", "make", "exp", "--degree", "1",
+                     "--preset", _preset(tmp_path, "precision=7\n"), "--prec", "3")
+    assert rc == 0 and out.startswith("5:1:[v=0 5:3:")

@@ -30,6 +30,7 @@ from padicmech.core import (
     padic_valuation,
     parse_padic_int,
     parse_padic_number,
+    radius_exponent,
     valuation_and_norm,
     within,
 )
@@ -283,6 +284,20 @@ def test_ball_radius_validation():
         Ball(c, 4)  # finer than the tracked digits
     with pytest.raises(ValueError):
         Ball(c, -1)  # radius above 1 leaves Z_p
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), e=st.integers(-6, 12))
+def test_radius_exponent_round_trips_powers_of_p(p, e):
+    assert radius_exponent(Fraction(p) ** -e, p) == e
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), e=st.integers(-6, 12))
+def test_radius_exponent_rejects_non_powers(p, e):
+    # q is a prime other than p, so q/p^2 and 1/(q p) are never powers of p
+    q = 3 if p == 2 else 2
+    for r in (0, -(Fraction(p) ** -e), 6, Fraction(q, p**2), Fraction(1, q * p)):
+        with pytest.raises(ValueError, match="is not a power"):
+            radius_exponent(r, p)
 
 
 # --- Monna embedding -----------------------------------------------------------

@@ -163,6 +163,18 @@ def test_evaluate_reports_tail_bound():
     assert poly_tail >= 10**6  # nothing omitted
 
 
+def test_exact_polynomial_keeps_the_tail_certificate():
+    # a polynomial's coefficients past its degree are exact zeros, so mixing
+    # one into a sum or product must not turn the tail into "unknown"
+    p = 5
+    e = elementary("exp", p, 8)
+    poly = PowerSeries.polynomial(p, [1, 1])
+    _, alone = evaluate(e, p, with_tail=True)
+    assert alone == 8
+    for mixed in (poly * e, e * poly, poly + e, e + poly):
+        assert evaluate(mixed, p, with_tail=True)[1] == alone
+
+
 def test_series_identity_exp_double_angle():
     # exp(2t) == exp(t)^2 coefficient-wise mod tracked precision
     p = 7
