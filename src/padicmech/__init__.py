@@ -19,6 +19,7 @@ from padicmech.core import (
 )
 from padicmech.series import (
     PowerSeries,
+    TailFloor,
     convergence_radius,
     definite_integral,
     digit_dilate,

@@ -19,11 +19,13 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from padicmech.core import (
+    ENUMERATION_CAP,
     Ball,
     PadicError,
     PadicInt,
     PadicNumber,
     PrimeMismatch,
+    exceeds_cap,
     metric,
     monna_embed,
     parse_padic_int,
@@ -364,6 +366,8 @@ def _cmd_quantum(args) -> str:
     if args.action == "interfere":
         return str(interference_term(p, args.degree, precision=k))
     if args.action == "schwarz":
+        if args.count > ENUMERATION_CAP:
+            raise UsageError(f"--count {args.count} exceeds the sample cap {ENUMERATION_CAP}")
         rng = random.Random(args.seed if args.seed is not None else 0)
         worst = Fraction(0)
         for _ in range(args.count):
@@ -392,6 +396,9 @@ def _cmd_embed(args) -> str:
     if center.prime != args.prime:
         raise UsageError(f"center uses p={center.prime}, command uses p={args.prime}")
     ball = Ball(center, args.level)
+    if exceeds_cap(args.prime, args.depth - args.level, ENUMERATION_CAP):
+        raise UsageError(f"p^(depth-level) = {args.prime}^{args.depth - args.level} members "
+                         f"exceed the enumeration cap {ENUMERATION_CAP}")
     kk = args.k if args.k is not None else args.prime
     rows = []
     for member in ball.members(args.depth):

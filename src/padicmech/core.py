@@ -15,8 +15,14 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 DEFAULT_PRECISION = 12
+ENUMERATION_CAP = 10**6  # most points a probe or an enumeration may visit
 
 Rational = Union[int, Fraction]
+
+
+def exceeds_cap(p: int, e: int, cap: int = ENUMERATION_CAP) -> bool:
+    """p**e > cap for a prime p, decided without building p**e for a huge e."""
+    return e > cap.bit_length() or p**e > cap
 
 
 class PadicError(Exception):
@@ -530,9 +536,11 @@ class PadicNumber:
         return self._unit.congruent(other._unit)
 
     def __hash__(self):
+        # equal values share their valuation and leading digit, whatever
+        # their precisions; the digits past the first do not survive a cut
         if self.is_zero:
             return hash((self.prime, "zero"))
-        return hash((self.prime, self._v, self._unit.residue))
+        return hash((self.prime, self._v, self._unit.residue % self.prime))
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -27,10 +27,11 @@ from padicmech.core import (
 from padicmech.multi import MultiPoly, compose_series
 from padicmech.series import (
     PowerSeries,
+    TailFloor,
     convergence_radius,
     definite_integral,
     evaluate,
-    factorial_valuation,
+    factorial_floor,
 )
 
 
@@ -282,13 +283,9 @@ def closed_flow_series(kind: str, z0: PhaseState, *, beta=None, m=None, alpha=No
     def mk(coeffs, base):
         if base is None:
             return PowerSeries.polynomial(prime, [0])
-        shift = min(vb, 0)
-
-        def floor(n, _b=base, _vb=vb, _sh=shift, _p=prime):
-            return _b + (n - 1) * _vb + _sh - factorial_valuation(n, _p) if n else _b
-
-        return PowerSeries(prime, coeffs, radius=validity, geometric=True,
-                           coeff_floor=floor)
+        # v(c_0) >= base; v(c_n) >= base + (n-1)*vb + min(vb, 0) - v_p(n!) for n >= 1
+        floor = TailFloor(prime, [base], [(base - vb + min(vb, 0), vb, 0)])
+        return PowerSeries(prime, coeffs, radius=validity, geometric=True, floor=floor)
 
     return TrajectorySeries(prime, [mk(qc, base_q)], [mk(pc, base_p)], validity)
 
@@ -335,11 +332,11 @@ def taylor_integrate(H: HamiltonianSpec, z0: PhaseState, degree: int,
         validity = window
     validity = Fraction(validity)
     geometric = zp_data and validity <= window
-    floor = (lambda k, _p=prime: -factorial_valuation(k, _p)) if geometric else None
+    floor = factorial_floor(prime) if geometric else None
     qs = [PowerSeries(prime, qc[j], radius=validity, geometric=geometric,
-                      coeff_floor=floor) for j in range(n)]
+                      floor=floor) for j in range(n)]
     ps = [PowerSeries(prime, pc[j], radius=validity, geometric=geometric,
-                      coeff_floor=floor) for j in range(n)]
+                      floor=floor) for j in range(n)]
     return TrajectorySeries(prime, qs, ps, validity)
 
 

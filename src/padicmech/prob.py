@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from padicmech.core import check_prime, padic_norm, radius_exponent
+from padicmech.core import DomainViolation, check_prime, padic_norm, radius_exponent
 
 
 class FrequencyRecord:
@@ -140,7 +140,10 @@ def dual_limit_synthesize(prime: int, alpha: Fraction, J: int) -> FrequencyRecor
     rec = FrequencyRecord(checkpoints, successes)
     if J >= 2:  # sanity: the construction must satisfy its own p-adic test
         rep = stabilization_detect(rec, "padic", window=2, prime=prime, strength=2)
-        assert rep.status == "limit"
+        if rep.status != "limit":
+            raise DomainViolation(
+                f"the synthesized record fails its own p-adic limit test ({rep.status})",
+                reason="synthesis-check")
     return rec
 
 

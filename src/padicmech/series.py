@@ -8,25 +8,34 @@ products, derivatives, antiderivatives, and monomial rescalings.  Certified
 series may be integrated on the full closed disc |x| <= radius; uncertified
 ones only on |x| <= radius/p, where termwise convergence is unconditional.
 
-`coeff_floor(n)` optionally lower-bounds the valuation of every coefficient,
-including the ones beyond the truncation degree; evaluation uses it to report
-a tail bound.
+An optional `floor` (a TailFloor) lower-bounds v_p(c_n) at every n, the
+omitted coefficients included, and `evaluate` turns it into a tail bound.  The
+floor is data, built once per operation: a head of materialised bounds for
+small n, kept only where they differ from the rule, and a rule, the least of
+a few terms a + b*n - v_p((n-s)!).  exp, sin, cos and the certified flows
+carry the single term -v_p(n!).  Sums, scalings, rescalings, derivatives and
+antiderivatives move the terms; a product pairs them by Legendre's
+v_p(i!) + v_p(j!) <= v_p((i+j)!) and combines the heads in one min-plus pass.
+The window lemma (see `evaluate`) bounds the whole tail by 65 terms past the
+truncation degree, or past the last head entry or term start if later.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from padicmech.core import (
     DEFAULT_PRECISION,
+    ENUMERATION_CAP,
     DomainViolation,
     PadicInt,
     PadicNumber,
     PrimeMismatch,
     _int_valuation,
     check_prime,
+    exceeds_cap,
     parse_padic_number,
     radius_exponent,
 )
@@ -34,6 +43,7 @@ from padicmech.core import (
 DEFAULT_DEGREE = 24
 
 _BIG = 10**9  # stands in for the +inf valuation of an exactly-zero coefficient
+_WINDOW = 65  # omitted terms read for a tail bound: indices D+1 .. D+_WINDOW
 
 
 def factorial_valuation(n: int, p: int) -> int:
@@ -50,13 +60,163 @@ def convergence_radius(p: int) -> Fraction:
     return Fraction(1, 4) if p == 2 else Fraction(1, p)
 
 
+class TailFloor:
+    """Lower bound for v_p(c_n) at every index n: a series' tail certificate.
+
+    For n < len(head) the bound is head[n].  Past the head it is the rule:
+    the least of a + b*n - v_p((n-s)!) over the terms (a, b, s) with s <= n,
+    or _BIG (an exact zero) when no term applies.  Immutable; a trailing
+    head entry equal to the rule and a term another term bounds from below
+    (no larger a, b and s) are dropped on construction.
+
+    The operations take the degree of the series they build: when the rule
+    they derive is only a lower bound of the exact recursion, they
+    materialise the head through that degree's 65-index evaluation window,
+    so the tail `evaluate` reports stays exact.
+    """
+
+    __slots__ = ("prime", "head", "terms")
+
+    def __init__(self, prime: int, head: Sequence[int] = (),
+                 terms: Sequence[Tuple[int, int, int]] = ()):
+        terms = set(terms)
+        self.prime = prime
+        self.terms = tuple(sorted(
+            t for t in terms
+            if not any(u != t and u[0] <= t[0] and u[1] <= t[1] and u[2] <= t[2]
+                       for u in terms)))
+        head = list(head)
+        while head and head[-1] == self.rule(len(head) - 1):
+            head.pop()
+        self.head = tuple(head)
+
+    def rule(self, n: int) -> int:
+        best = _BIG
+        for a, b, s in self.terms:
+            if s <= n:
+                v = a + b * n - factorial_valuation(n - s, self.prime)
+                if v < best:
+                    best = v
+        return best
+
+    def at(self, n: int) -> int:
+        return self.head[n] if n < len(self.head) else self.rule(n)
+
+    def tail(self, vx: int, degree: int) -> int:
+        """Least at(n) + n*vx over the omitted n > degree that can hold it:
+        the 65-index window, stretched to the last head entry and the last
+        term's start (see `evaluate`).  Summed a term at a time."""
+        p, head = self.prime, self.head
+        stop = max([degree + _WINDOW, len(head) - 1] + [s for _, _, s in self.terms]) + 1
+        lo = max(degree + 1, len(head))
+        vals = [head[n] + n * vx for n in range(degree + 1, lo)]
+        first = min((s for _, _, s in self.terms), default=stop)
+        vals += [_BIG + n * vx for n in range(lo, min(stop, first))]
+        for a, b, s in self.terms:
+            vals += [a + (b + vx) * n - factorial_valuation(n - s, p)
+                     for n in range(max(lo, s), stop)]
+        return min(vals)
+
+    def shifted(self, c: int, slope: int = 0) -> "TailFloor":
+        """Bound + c + slope*n: a scaling by a value of valuation c, or the
+        rescaling x -> u*x with v_p(u) = slope."""
+        return TailFloor(self.prime, [h + c + slope * n for n, h in enumerate(self.head)],
+                         [(a + c, b + slope, s) for a, b, s in self.terms])
+
+    def with_constant(self, v0: int) -> "TailFloor":
+        """The same bound with v0 for the constant coefficient."""
+        return TailFloor(self.prime, (v0,) + self.head[1:], self.terms)
+
+    def minimum(self, other: "TailFloor") -> "TailFloor":
+        """Bound for a sum: the pointwise minimum."""
+        n_head = max(len(self.head), len(other.head))
+        return TailFloor(self.prime, [min(self.at(n), other.at(n)) for n in range(n_head)],
+                         self.terms + other.terms)
+
+    def times(self, other: "TailFloor", degree: int) -> "TailFloor":
+        """Bound for a product: min over i + j = n of self(i) + other(j).
+
+        A head entry against the other rule gives shifted terms.  Two rule
+        terms give one term: by v_p(i!) + v_p(j!) <= v_p((i+j)!) their least
+        sum sits where the steeper factor takes its least index.  That is
+        exact when no head lies above its own rule (`_below_rule`); past a
+        raised head the pair is cut to the rule's own indices, the rule is
+        a lower bound and the head is materialised.
+        """
+        f, g = self, other
+        exact = f._below_rule() and g._below_rule()
+        terms = []
+        for head, rule in ((f.head, g.terms), (g.head, f.terms)):
+            for i, h in enumerate(head):
+                if h < _BIG // 2:  # an exact-zero coefficient adds nothing
+                    terms += [(h + a - b * i, b, s + i) for a, b, s in rule]
+        for a1, b1, s1 in f.terms:
+            lo1 = s1 if exact else max(s1, len(f.head))
+            for a2, b2, s2 in g.terms:
+                lo2 = s2 if exact else max(s2, len(g.head))
+                steep = (b2 - b1) * lo2 if b1 <= b2 else (b1 - b2) * lo1
+                terms.append((a1 + a2 + steep, min(b1, b2), s1 + s2))
+        n_head = len(f.head) + len(g.head) - 1 if f.head and g.head else 0
+        n_head = max(n_head, _head_length(degree, exact))
+        fv = [f.at(i) for i in range(n_head)]
+        gv = [g.at(j) for j in range(n_head)]
+        head = [min(fv[i] + gv[n - i] for i in range(n + 1)) for n in range(n_head)]
+        return TailFloor(f.prime, head, terms)
+
+    def derived(self, degree: int) -> "TailFloor":
+        """Bound for the derivative: self(n+1) + v_p(n+1).  A term with s = 0
+        shifts exactly (v_p((n+1)!) - v_p(n+1) = v_p(n!)); for s >= 1 the
+        shifted term drops the v_p(n+1)."""
+        p = self.prime
+        exact = not any(s for _, _, s in self.terms)
+        n_head = max(len(self.head) - 1, _head_length(degree, exact))
+        head = [self.at(n + 1) + _int_valuation(n + 1, p) for n in range(n_head)]
+        return TailFloor(p, head, [(a + b, b, max(s - 1, 0)) for a, b, s in self.terms])
+
+    def integrated(self, degree: int) -> "TailFloor":
+        """Bound for the primitive with F(0) = 0: self(n-1) - v_p(n).  A term
+        with s = 0 shifts exactly (v_p((n-1)!) + v_p(n) = v_p(n!)); for
+        s >= 1, v_p(n!) still bounds v_p((n-1-s)!) + v_p(n)."""
+        p = self.prime
+        exact = not any(s for _, _, s in self.terms)
+        n_head = max(len(self.head) + 1, _head_length(degree, exact))
+        head = [_BIG] + [self.at(n - 1) - _int_valuation(n, p) for n in range(1, n_head)]
+        return TailFloor(p, head, [(a - b, b, 0) for a, b, _ in self.terms])
+
+    def _below_rule(self) -> bool:
+        """No head entry lies above the rule at its index."""
+        return all(h <= self.rule(n) for n, h in enumerate(self.head))
+
+    def __eq__(self, other):
+        if not isinstance(other, TailFloor):
+            return NotImplemented
+        return (self.prime, self.head, self.terms) == (other.prime, other.head, other.terms)
+
+    def __hash__(self):
+        return hash((self.prime, self.head, self.terms))
+
+    def __repr__(self) -> str:
+        return f"TailFloor({self.prime}, head={self.head}, terms={self.terms})"
+
+
+def _head_length(degree: int, exact: bool) -> int:
+    """Head a floor needs at this degree: none when its rule is exact, else
+    every index `evaluate` reads."""
+    return 0 if exact else degree + _WINDOW + 1
+
+
+def factorial_floor(p: int) -> TailFloor:
+    """v_p(c_n) >= -v_p(n!): the floor of exp, sin, cos and certified flows."""
+    return TailFloor(p, terms=[(0, 0, 0)])
+
+
 class PowerSeries:
     """Degree-D truncation of sum(c_n x^n) with coefficients in Q_p."""
 
-    __slots__ = ("prime", "coeffs", "radius", "geometric", "coeff_floor")
+    __slots__ = ("prime", "coeffs", "radius", "geometric", "floor")
 
     def __init__(self, prime: int, coeffs: Sequence, radius: Optional[Fraction] = None,
-                 geometric: bool = False, coeff_floor: Optional[Callable[[int], int]] = None,
+                 geometric: bool = False, floor: Optional[TailFloor] = None,
                  precision: int = DEFAULT_PRECISION):
         check_prime(prime)
         if not coeffs:
@@ -68,7 +228,7 @@ class PowerSeries:
             radius_exponent(self.radius, prime)  # must be a power of p
         # polynomials are trivially certified: their tail is empty
         self.geometric = geometric or radius is None
-        self.coeff_floor = coeff_floor
+        self.floor = floor
 
     @classmethod
     def polynomial(cls, prime: int, coeffs: Sequence, precision: int = DEFAULT_PRECISION) -> "PowerSeries":
@@ -81,14 +241,17 @@ class PowerSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    def _floor(self, n: int) -> int:
-        if self.coeff_floor is not None:
-            return self.coeff_floor(n)
-        if n <= self.degree:
-            c = self.coeffs[n]
-            return _BIG if c.is_zero else c.valuation
-        # a polynomial's coefficients past its degree are exact zeros
-        return _BIG if self.radius is None else -_BIG
+    def _floors(self, other: "PowerSeries") -> Optional[Tuple[TailFloor, TailFloor]]:
+        """Both operands' floors when at least one is certified.  A polynomial
+        without one gets the exact floor of its coefficients (exact zeros
+        past its degree); a truncation without one voids the certificate."""
+        if self.floor is None and other.floor is None:
+            return None
+        pair = tuple(f.floor if f.floor is not None or f.radius is not None
+                     else TailFloor(f.prime, [_BIG if c.is_zero else c.valuation
+                                              for c in f.coeffs])
+                     for f in (self, other))
+        return None if None in pair else pair
 
     def _check(self, other: "PowerSeries") -> None:
         if self.prime != other.prime:
@@ -104,10 +267,7 @@ class PowerSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, PadicNumber)):
             c0 = self.coeffs[0] + PadicNumber.of(other, self.prime)
-            floor = None
-            if self.coeff_floor:
-                v0 = _BIG if c0.is_zero else c0.valuation
-                floor = lambda n, _f=self.coeff_floor, _v0=v0: _v0 if n == 0 else _f(n)
+            floor = self.floor and self.floor.with_constant(_BIG if c0.is_zero else c0.valuation)
             return PowerSeries(self.prime, (c0,) + self.coeffs[1:], self.radius,
                                self.geometric, floor)
         if not isinstance(other, PowerSeries):
@@ -128,15 +288,15 @@ class PowerSeries:
                   + (other.coeffs[n] if n <= other.degree else zero)
                   for n in range(d + 1)]
         radius, geo = self._combine_domain(other)
-        fa, fb = self.coeff_floor, other.coeff_floor
-        floor = (lambda n: min(self._floor(n), other._floor(n))) if (fa or fb) else None
+        pair = self._floors(other)
+        floor = pair and pair[0].minimum(pair[1])
         return PowerSeries(self.prime, coeffs, radius, geo, floor)
 
     __radd__ = __add__
 
     def __neg__(self):
         return PowerSeries(self.prime, [-c for c in self.coeffs], self.radius,
-                           self.geometric, self.coeff_floor)
+                           self.geometric, self.floor)
 
     def __sub__(self, other):
         if isinstance(other, PowerSeries):
@@ -152,8 +312,7 @@ class PowerSeries:
         c = PadicNumber.of(c, self.prime)
         if c.is_zero:
             return PowerSeries(self.prime, [c] * (self.degree + 1), self.radius, self.geometric)
-        vc = c.valuation
-        floor = (lambda n: self.coeff_floor(n) + vc) if self.coeff_floor else None
+        floor = self.floor and self.floor.shifted(c.valuation)
         return PowerSeries(self.prime, [c * a for a in self.coeffs], self.radius,
                            self.geometric, floor)
 
@@ -176,10 +335,8 @@ class PowerSeries:
             d = min(self.degree, other.degree)
         coeffs = _trunc_mul(self.coeffs, other.coeffs, d, self.prime)
         radius, geo = self._combine_domain(other)
-        floor = None
-        if self.coeff_floor or other.coeff_floor:
-            def floor(n, _f=self._floor, _g=other._floor):
-                return min(_f(i) + _g(n - i) for i in range(n + 1))
+        pair = self._floors(other)
+        floor = pair and pair[0].times(pair[1], d)
         return PowerSeries(self.prime, coeffs, radius, geo, floor)
 
     __rmul__ = __mul__
@@ -189,10 +346,7 @@ class PowerSeries:
             return PowerSeries(self.prime, [PadicNumber.zero(self.prime)], self.radius, self.geometric)
         p = self.prime
         coeffs = [PadicNumber.of(n, p) * self.coeffs[n] for n in range(1, self.degree + 1)]
-        floor = None
-        if self.coeff_floor:
-            def floor(n, _f=self._floor, _p=p):
-                return _f(n + 1) + _int_valuation(n + 1, _p)
+        floor = self.floor and self.floor.derived(self.degree - 1)
         return PowerSeries(p, coeffs, self.radius, self.geometric, floor)
 
     def antiderivative(self) -> "PowerSeries":
@@ -201,10 +355,7 @@ class PowerSeries:
         coeffs: List[PadicNumber] = [PadicNumber.zero(p)]
         for n, c in enumerate(self.coeffs):
             coeffs.append(c / PadicNumber.of(n + 1, p, c.relative_precision or DEFAULT_PRECISION))
-        floor = None
-        if self.coeff_floor:
-            def floor(n, _f=self._floor, _p=p):
-                return _BIG if n == 0 else _f(n - 1) - _int_valuation(n, _p)
+        floor = self.floor and self.floor.integrated(self.degree + 1)
         return PowerSeries(p, coeffs, self.radius, self.geometric, floor)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
@@ -242,10 +393,7 @@ class PowerSeries:
         if orders == [1]:
             # linear monomial c*x: exact rescaling, certificate survives
             vc = inner.coeffs[1].valuation
-            floor = None
-            if self.coeff_floor:
-                def floor(n, _f=self._floor, _vc=vc):
-                    return _f(n) + n * _vc
+            floor = self.floor and self.floor.shifted(0, vc)
             return Fraction(p) ** (vc - r_out), self.geometric, floor
         # conservative: largest disc every inner term maps inside the outer radius
         e = max(-(-(r_out - inner.coeffs[j].valuation) // j) for j in orders)
@@ -329,9 +477,8 @@ def elementary(kind: str, p: int, degree: int = DEFAULT_DEGREE,
         else:
             raise ValueError(f"unknown elementary kind {kind!r}")
         coeffs.append(PadicNumber(p, c, precision))
-    floor = lambda n: -factorial_valuation(n, p)
     return PowerSeries(p, coeffs, radius=convergence_radius(p), geometric=True,
-                       coeff_floor=floor)
+                       floor=factorial_floor(p))
 
 
 def evaluate(f: PowerSeries, x, with_tail: bool = False):
@@ -339,7 +486,20 @@ def evaluate(f: PowerSeries, x, with_tail: bool = False):
 
     With with_tail=True also returns the certified tail exponent T (the
     omitted terms have norm <= p^-T) when a coefficient floor is available,
-    else None.
+    else None.  T is the least floor(n) + n*v_p(x) over n = D+1 .. D+65, a
+    window stretched to the floor's last head entry and last term start.
+
+    Window lemma: past the window the rule is increasing in n on the disc.
+    On |x| <= radius every rule term has b + v_p(x) >= r_p, where
+    convergence_radius(p) = p^-r_p: exp, sin, cos and Taylor flows have
+    b = 0 on that disc, and closed flows and rescalings trade b against
+    the radius one for one.  With m = n - s and s_p the base-p digit sum,
+    a term at x is a + (b + v_p(x))*s + k*m + s_p(m)/(p-1) with
+    k >= r_p - 1/(p-1) >= 1/2: least at its start m = 0, and 65 steps on
+    higher by at least 65k - s_p(m)/(p-1) > 0 (for m < p^32).  A head lies
+    below its rule, or it is materialised through the window and the rule
+    past it undershoots the exact products by at most a binomial
+    valuation, so no index past the stretched window undercuts its minimum.
     """
     x = PadicNumber.of(x, f.prime)
     if f.radius is not None and x.norm() > f.radius:
@@ -354,10 +514,8 @@ def evaluate(f: PowerSeries, x, with_tail: bool = False):
     tail = None
     if f.radius is None:
         tail = _BIG  # polynomial: nothing omitted
-    elif f.coeff_floor is not None and not x.is_zero:
-        vx = x.valuation
-        d = f.degree
-        tail = min(f.coeff_floor(n) + n * vx for n in range(d + 1, d + 66))
+    elif f.floor is not None and not x.is_zero:
+        tail = f.floor.tail(x.valuation, f.degree)
     elif x.is_zero:
         tail = _BIG
     return acc, tail
@@ -412,7 +570,7 @@ class SupNormReport(NamedTuple):
     certified: bool        # value == sup exactly
 
 
-def sup_norm_probe(f: PowerSeries, depth: int, cap: int = 10**6) -> SupNormReport:
+def sup_norm_probe(f: PowerSeries, depth: int, cap: int = ENUMERATION_CAP) -> SupNormReport:
     """Max of |f(x)|_p over the p^depth residue classes mod p^depth.
 
     With Z_p coefficients, f moves by at most |x - c| <= p^-depth inside the
@@ -426,8 +584,8 @@ def sup_norm_probe(f: PowerSeries, depth: int, cap: int = 10**6) -> SupNormRepor
         raise ValueError("sup-norm probing is defined for polynomials")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if p**depth > cap:
-        raise ValueError(f"p^depth = {p**depth} exceeds the probe cap {cap}")
+    if exceeds_cap(p, depth, cap):
+        raise ValueError(f"p^depth = {p}^{depth} exceeds the probe cap {cap}")
     k_min = None
     for c in f.coeffs:
         if c.is_exact_zero:

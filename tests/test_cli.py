@@ -295,3 +295,28 @@ def test_abbreviated_flag_beats_preset(tmp_path, capsys):
     rc, out, _ = run(capsys, "series", "make", "exp", "--degree", "1",
                      "--preset", _preset(tmp_path, "precision=7\n"), "--prec", "3")
     assert rc == 0 and out.startswith("5:1:[v=0 5:3:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--center", "0", "--level", "0", "--depth", "2", "--prime", "5"],
+    ["quantum", "schwarz", "--count", "11", "--prime", "7"],
+])
+def test_unbounded_work_is_refused_before_it_starts(monkeypatch, capsys, argv):
+    # a cap of 10 stands in for the real one: 25 members or 11 samples exceed it
+    monkeypatch.setattr("padicmech.cli.ENUMERATION_CAP", 10)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "") and "cap 10" in err
+
+
+def test_work_at_the_cap_still_runs(monkeypatch, capsys):
+    monkeypatch.setattr("padicmech.cli.ENUMERATION_CAP", 10)
+    rc, _, _ = run(capsys, "quantum", "schwarz", "--count", "10", "--prime", "7")
+    assert rc == 0
+    rc, _, _ = run(capsys, "embed", "--center", "0", "--level", "1", "--depth", "2",
+                   "--prime", "5")
+    assert rc == 0
+
+
+def test_synthesis_self_check_exits_with_its_tag(capsys):
+    rc, out, err = run(capsys, "prob", "synthesize", "--alpha=0", "--count", "2")
+    assert (rc, out) == (2, "") and "[synthesis-check]" in err

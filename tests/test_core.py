@@ -394,3 +394,17 @@ def test_malformed_text_rejected():
     for bad in ("5:3:1 2", "4:1:1", "x", "v=1 5:2:0 1 2", "5:2:9 0"):
         with pytest.raises(ValueError):
             parse_padic_int(bad) if ":" in bad and not bad.startswith("v=") else parse_padic_number(bad)
+
+
+def test_equal_numbers_at_different_precisions_hash_alike():
+    x, y = PadicNumber(5, 126, 5), PadicNumber(5, 1, 3)
+    assert x == y
+    assert hash(x) == hash(y) and len({x, y}) == 1
+
+
+@given(q=nonzero_rationals, p=st.sampled_from(PRIMES), ka=st.integers(1, 12),
+       kb=st.integers(1, 12))
+def test_equality_implies_equal_hashes_across_precisions(q, p, ka, kb):
+    a, b = PadicNumber(p, q, ka), PadicNumber(p, q, kb)
+    assert a == b
+    assert hash(a) == hash(b)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicmech.core import padic_norm
+from padicmech.core import DomainViolation, padic_norm
 from padicmech.prob import (
     FrequencyRecord,
     ball_volume,
@@ -187,3 +187,11 @@ def test_ball_volume_additivity(p, k):
     whole = ball_volume(Fraction(1, p**k), p)
     parts = [ball_volume(Fraction(1, p ** (k + 1)), p) for _ in range(p)]
     assert sum(parts) == whole
+
+
+def test_synthesis_self_check_survives_optimised_runs():
+    # the alpha = 0 record with two checkpoints fails its own p-adic test;
+    # the check raises a domain error, which `python -O` cannot strip
+    with pytest.raises(DomainViolation) as info:
+        dual_limit_synthesize(5, 0, 2)
+    assert info.value.reason == "synthesis-check"
