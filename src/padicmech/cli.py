@@ -248,6 +248,8 @@ def _trajectory(args, H, z0):
 
 
 def _cmd_simulate(args) -> str:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be at least 1, got {args.steps}")
     H, z0 = _build_system(args)
     traj = _trajectory(args, H, z0)
     step = _rational(args.step) if args.step is not None else (

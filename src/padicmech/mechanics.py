@@ -234,6 +234,8 @@ def closed_flow_series(kind: str, z0: PhaseState, *, beta=None, m=None, alpha=No
     hooke_exp / hooke_trig: the one-coordinate harmonic flows, valid on
     |beta t|_p <= r_p.
     """
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
     prime = z0.prime
     if kind == "free":
         if alpha is None:
@@ -302,6 +304,18 @@ def taylor_integrate(H: HamiltonianSpec, z0: PhaseState, degree: int,
                      precision: int = DEFAULT_PRECISION) -> TrajectorySeries:
     """Generic series solver for qdot_j = 2 alpha_j p_j, pdot_j = -dV/dq_j.
 
+    Step k needs coefficient k of each gradient dV/dq_j along q(t), and only
+    q's coefficients 0..k enter it.  Taylor-mode recurrence: every gradient
+    monomial c * q_{i1} * ... * q_{im} (factors in variable order) keeps the
+    coefficient lists of its partial products c, c*q_{i1}, (c*q_{i1})*q_{i2},
+    ..., and at step k each list gains one Cauchy coefficient
+    sum_i prev[i] * q[k-i].  That is O(m k) work at step k, O(m D^2) per
+    monomial over a run.  The grouping is the one `MultiPoly.substitute`
+    uses, each sum runs over ascending i from an exact zero and skips
+    exact-zero factors as `series._trunc_mul` does, and the monomials are
+    summed in `terms` order, so every coefficient equals the one read off a
+    full substitution, digit for digit and with the same tracked precision.
+
     With all data in Z_p the window |t| <= r_p is certified (the recursion's
     only divisions are by k+1, so |c_k| <= p^{v_p(k!)}).  Otherwise a caller-
     declared validity window is required.
@@ -314,13 +328,21 @@ def taylor_integrate(H: HamiltonianSpec, z0: PhaseState, degree: int,
     two = PadicNumber.of(2, prime, precision)
     qc = [[PadicNumber.of(z0.q[j], prime)] for j in range(n)]
     pc = [[PadicNumber.of(z0.p[j], prime)] for j in range(n)]
-    grads = [H.potential.partial(j) for j in range(n)]
+    # per gradient, per monomial: the factor variables and the partial
+    # products' coefficient lists, the first being the constant [c]
+    chains = [[([i for i, e in enumerate(expo) for _ in range(e)],
+                [[c]] + [[] for _ in range(sum(expo))])
+               for expo, c in H.potential.partial(j).terms.items()]
+              for j in range(n)]
     for k in range(degree):
         inv = PadicNumber.of(Fraction(1, k + 1), prime, precision)
-        qpolys = [PowerSeries.polynomial(prime, qc[j]) for j in range(n)]
         for j in range(n):
-            g = grads[j].substitute(qpolys)
-            gk = g.coeffs[k] if k <= g.degree else PadicNumber.zero(prime)
+            gk = PadicNumber.zero(prime)
+            for factors, prods in chains[j]:
+                for prev, i, out in zip(prods, factors, prods[1:]):
+                    out.append(_cauchy_coeff(prev, qc[i], k, prime))
+                if k < len(prods[-1]):  # a constant monomial stops at k = 0
+                    gk = gk + prods[-1][k]
             pc[j].append(-gk * inv)
             qc[j].append(two * H.alphas[j] * pc[j][k] * inv)
     zp_data = (all(a.norm_bound() <= 1 for a in H.alphas)
@@ -338,6 +360,18 @@ def taylor_integrate(H: HamiltonianSpec, z0: PhaseState, degree: int,
     ps = [PowerSeries(prime, pc[j], radius=validity, geometric=geometric,
                       floor=floor) for j in range(n)]
     return TrajectorySeries(prime, qs, ps, validity)
+
+
+def _cauchy_coeff(f: Sequence[PadicNumber], g: Sequence[PadicNumber], k: int,
+                  prime: int) -> PadicNumber:
+    """Coefficient k of f*g, where f may stop short of k (exact zeros past
+    its end), summed as `series._trunc_mul` sums it."""
+    acc = PadicNumber.zero(prime)
+    for i in range(min(k + 1, len(f))):
+        a, b = f[i], g[k - i]
+        if not (a.is_exact_zero or b.is_exact_zero):
+            acc = acc + a * b
+    return acc
 
 
 def energy_series(H: HamiltonianSpec, traj: TrajectorySeries) -> PowerSeries:

@@ -125,6 +125,23 @@ def test_simulate_taylor_agrees_with_closed(capsys):
     assert closed == taylor
 
 
+@pytest.mark.parametrize("steps", ["0", "-2"])
+def test_simulate_refuses_fewer_than_one_step(capsys, steps):
+    rc, out, err = run(capsys, "simulate", "--kind", "hooke_trig", "--prime", "5",
+                       "--steps", steps)
+    assert (rc, out) == (1, "")
+    assert "--steps must be at least 1" in err
+
+
+@pytest.mark.parametrize("method", ["closed", "taylor"])
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_both_flow_methods_refuse_degree_below_one(capsys, method, degree):
+    rc, out, err = run(capsys, "simulate", "--kind", "hooke_trig", "--method", method,
+                       "--degree", degree)
+    assert (rc, out) == (1, "")
+    assert err == "usage error: degree must be at least 1\n"
+
+
 def test_audit_reports_certified_gaps(capsys):
     rc, out, _ = run(capsys, "audit", "--kind", "hooke_exp", "--q0", "2",
                      "--p0", "3", "--m", "1", "--beta", "1", "--t0", "0",
