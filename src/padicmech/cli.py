@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -134,10 +135,13 @@ def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]],
 
 # -- command handlers -------------------------------------------------------------
 
+_ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "div": operator.truediv}
+
+
 def _cmd_arith(args) -> str:
     op, operands = args.op, args.operands
-    arity = {"add": 2, "sub": 2, "mul": 2, "div": 2, "metric": 2,
-             "norm": 1, "dilate": 1}.get(op)
+    arity = {"metric": 2, "norm": 1, "dilate": 1, **dict.fromkeys(_ARITH_OPS, 2)}.get(op)
     if arity is None:
         raise UsageError(f"unknown arith op {op!r}")
     if len(operands) != arity:
@@ -150,21 +154,13 @@ def _cmd_arith(args) -> str:
         return str(digit_dilate(parse_padic_int(texts[0])))
     if integral and op != "div":
         xs = [parse_padic_int(t) for t in texts]
-        if op == "norm":
-            return str(xs[0].norm())
-        if op == "metric":
-            return str(metric(xs[0], xs[1]))
-        out = {"add": xs[0] + xs[1], "sub": xs[0] - xs[1],
-               "mul": xs[0] * xs[1]}[op]
-        return str(out)
-    xs = [_scalar(t, args.prime, args.precision) for t in texts]
+    else:
+        xs = [_scalar(t, args.prime, args.precision) for t in texts]
     if op == "norm":
         return str(xs[0].norm())
     if op == "metric":
         return str(metric(xs[0], xs[1]))
-    out = {"add": xs[0] + xs[1], "sub": xs[0] - xs[1],
-           "mul": xs[0] * xs[1], "div": xs[0] / xs[1]}[op]
-    return str(out)
+    return str(_ARITH_OPS[op](*xs))
 
 
 def _series_arg(text: str, prime: int, degree: int, precision: int):

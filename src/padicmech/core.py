@@ -87,16 +87,13 @@ def padic_valuation(x: Rational, p: int) -> Optional[int]:
 
 def padic_norm(x: Rational, p: int) -> Fraction:
     """|x|_p as an exact rational; |0|_p = 0."""
-    v = padic_valuation(x, p)
-    if v is None:
-        return Fraction(0)
-    return Fraction(1, p**v) if v >= 0 else Fraction(p ** (-v))
+    return valuation_and_norm(x, p)[1]
 
 
 def valuation_and_norm(x: Rational, p: int) -> Tuple[Optional[int], Fraction]:
     """Pair (valuation, norm) of a rational; (None, 0) for x = 0."""
     v = padic_valuation(x, p)
-    return v, (Fraction(0) if v is None else padic_norm(x, p))
+    return v, (Fraction(0) if v is None else Fraction(p) ** -v)
 
 
 def radius_exponent(r: Rational, p: int) -> int:
@@ -104,7 +101,7 @@ def radius_exponent(r: Rational, p: int) -> int:
     num, den = r.numerator, r.denominator
     if num > 0:
         e = _int_valuation(den, p) - _int_valuation(num, p)
-        if (num, den) == ((1, p**e) if e >= 0 else (p**-e, 1)):
+        if Fraction(p) ** -e == r:
             return e
     raise ValueError(f"{r} is not a power of p={p}")
 
@@ -145,10 +142,10 @@ class PadicInt:
     def from_rational(cls, x: Rational, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicInt":
         """Embed a rational with unit denominator (no p in the denominator)."""
         x = Fraction(x)
-        q = prime**precision
-        if x.denominator % prime == 0:
+        den = cls(prime, x.denominator, precision)  # checks the prime and the precision
+        if not den.is_unit:
             raise ValueError(f"{x} is not a p-adic integer for p={prime}")
-        return cls(prime, x.numerator * pow(x.denominator, -1, q), precision)
+        return cls(prime, x.numerator, precision) / den
 
     @property
     def digits(self) -> Tuple[int, ...]:
@@ -171,7 +168,7 @@ class PadicInt:
     def norm(self) -> Fraction:
         """|x|_p; a zero residue reports 0 (true value is then <= p^-K)."""
         v = self.valuation()
-        return Fraction(0) if v is None else Fraction(1, self.prime**v)
+        return Fraction(0) if v is None else Fraction(self.prime) ** -v
 
     def _coerce(self, other) -> "PadicInt":
         if isinstance(other, PadicInt):
@@ -275,55 +272,61 @@ def parse_padic_int(text: str) -> PadicInt:
 class PadicNumber:
     """Element of Q_p in normalized form p^v * u with u a unit.
 
+    The unit is kept as plain ints: its residue mod p^K and its digit count
+    K (the relative precision); `unit` gives the same data as a PadicInt.
     Zero is represented separately: an exact zero, or "zero to absolute
     precision a" (written O(p^a)) produced when an addition cancels every
     tracked digit.  The known-cancellation depth is kept on the value so the
     loss is recorded rather than silently absorbed.
     """
 
-    __slots__ = ("prime", "_v", "_unit", "_zero_known")
+    __slots__ = ("prime", "_v", "_u", "_k", "_zero_known")
 
     def __init__(self, prime: int, value: Rational = 0, precision: int = DEFAULT_PRECISION):
         check_prime(prime)
+        if precision < 1:
+            raise ValueError("precision must be at least 1 digit")
         if isinstance(value, float):
             raise ValueError("floats are not exact; pass an int or Fraction")
         value = Fraction(value)
+        self.prime, self._zero_known = prime, None
         if value == 0:
-            self.prime, self._v, self._unit, self._zero_known = prime, None, None, None
+            self._v = self._u = self._k = None
             return
         num, den = value.numerator, value.denominator
         vn = _int_valuation(num, prime)
         vd = _int_valuation(den, prime)
         q = prime**precision
-        u = (num // prime**vn) * pow(den // prime**vd, -1, q) % q
-        self.prime = prime
         self._v = vn - vd
-        self._unit = PadicInt(prime, u, precision)
-        self._zero_known = None
+        self._u = (num // prime**vn) * pow(den // prime**vd, -1, q) % q
+        self._k = precision
 
     @classmethod
-    def _make(cls, prime: int, v: int, unit: PadicInt) -> "PadicNumber":
+    def _make(cls, prime: int, v: int, u: int, k: int) -> "PadicNumber":
+        """p^v * u from a unit residue u already reduced mod p^k."""
         out = object.__new__(cls)
-        out.prime, out._v, out._unit, out._zero_known = prime, v, unit, None
+        out.prime, out._v, out._u, out._k, out._zero_known = prime, v, u, k, None
         return out
+
+    @classmethod
+    def _normal(cls, prime: int, v: int, u: int, k: int) -> "PadicNumber":
+        """p^v * u for a residue u mod p^k that may hold factors of p."""
+        if u == 0:
+            return cls.zero(prime, known_to=v + k)
+        s = _int_valuation(u, prime)
+        return cls._make(prime, v + s, u // prime**s, k - s)
 
     @classmethod
     def zero(cls, prime: int, known_to: Optional[int] = None) -> "PadicNumber":
         """Exact zero, or zero to absolute precision `known_to`."""
         check_prime(prime)
         out = object.__new__(cls)
-        out.prime, out._v, out._unit, out._zero_known = prime, None, None, known_to
+        out.prime, out._v, out._u, out._k, out._zero_known = prime, None, None, None, known_to
         return out
 
     @classmethod
     def from_unit(cls, valuation: int, unit: PadicInt) -> "PadicNumber":
-        if unit.residue == 0:
-            return cls.zero(unit.prime, known_to=valuation + unit.precision)
-        s = unit.valuation()
-        if s:
-            unit = PadicInt(unit.prime, unit.residue // unit.prime**s, unit.precision - s)
-            valuation += s
-        return cls._make(unit.prime, valuation, unit)
+        return cls._normal(unit.prime, valuation, unit.residue, unit.precision)
 
     @classmethod
     def of(cls, x, prime: int, precision: int = DEFAULT_PRECISION) -> "PadicNumber":
@@ -342,11 +345,11 @@ class PadicNumber:
 
     @property
     def is_zero(self) -> bool:
-        return self._unit is None
+        return self._v is None
 
     @property
     def is_exact_zero(self) -> bool:
-        return self._unit is None and self._zero_known is None
+        return self._v is None and self._zero_known is None
 
     @property
     def valuation(self) -> Optional[int]:
@@ -354,7 +357,7 @@ class PadicNumber:
 
     @property
     def unit(self) -> Optional[PadicInt]:
-        return self._unit
+        return None if self._v is None else PadicInt(self.prime, self._u, self._k)
 
     @property
     def zero_known_to(self) -> Optional[int]:
@@ -363,32 +366,26 @@ class PadicNumber:
 
     @property
     def relative_precision(self) -> Optional[int]:
-        return None if self._unit is None else self._unit.precision
+        return self._k
 
     @property
     def abs_precision(self):
         """Exponent a: the value is determined mod p^a (math.inf if exact 0)."""
-        if self._unit is not None:
-            return self._v + self._unit.precision
+        if self._v is not None:
+            return self._v + self._k
         return math.inf if self._zero_known is None else self._zero_known
 
     def norm(self) -> Fraction:
         """|x|_p.  A zero reports 0; for an inexact zero the true norm is
         merely <= p^-zero_known_to, which callers can inspect."""
-        if self._unit is None:
-            return Fraction(0)
-        v = self._v
-        return Fraction(1, self.prime**v) if v >= 0 else Fraction(self.prime ** (-v))
+        return Fraction(0) if self._v is None else Fraction(self.prime) ** -self._v
 
     def norm_bound(self) -> Fraction:
         """Certified upper bound for |x|_p: equals norm() when the value is
         resolved, p^-zero_known_to for an inexact zero, 0 for exact zero."""
-        if self._unit is not None:
+        if self._v is not None or self._zero_known is None:
             return self.norm()
-        if self._zero_known is None:
-            return Fraction(0)
-        a = self._zero_known
-        return Fraction(1, self.prime**a) if a >= 0 else Fraction(self.prime**-a)
+        return Fraction(self.prime) ** -self._zero_known
 
     def residue(self, digits: int) -> int:
         """Integer value mod p^digits (valuation must be >= 0)."""
@@ -400,7 +397,7 @@ class PadicNumber:
             raise ValueError("negative valuation: not a p-adic integer")
         if digits > self.abs_precision:
             raise ValueError(f"only {self.abs_precision} absolute digits are tracked")
-        return self._unit.residue * self.prime**self._v % self.prime**digits
+        return self._u * self.prime**self._v % self.prime**digits
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -410,8 +407,7 @@ class PadicNumber:
                 raise PrimeMismatch(f"p={self.prime} vs p={other.prime}")
             return other
         if isinstance(other, (int, Fraction)):
-            k = self.relative_precision or DEFAULT_PRECISION
-            return PadicNumber(self.prime, other, k)
+            return PadicNumber(self.prime, other, self._k or DEFAULT_PRECISION)
         if isinstance(other, PadicInt):
             return PadicNumber.of(other, self.prime)
         return NotImplemented
@@ -421,6 +417,7 @@ class PadicNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self, other
+        p = a.prime
         if a.is_zero or b.is_zero:
             if a.is_zero and b.is_zero:
                 ka, kb = a._zero_known, b._zero_known
@@ -428,31 +425,27 @@ class PadicNumber:
                     return b
                 if kb is None:
                     return a
-                return PadicNumber.zero(a.prime, min(ka, kb))
+                return PadicNumber.zero(p, min(ka, kb))
             zero, val = (a, b) if a.is_zero else (b, a)
             if zero._zero_known is None:
                 return val
             cap = min(zero._zero_known, val.abs_precision)
             if val._v >= cap:
-                return PadicNumber.zero(a.prime, cap)
-            unit = PadicInt(a.prime, val._unit.residue, cap - val._v)
-            return PadicNumber._make(a.prime, val._v, unit)
+                return PadicNumber.zero(p, cap)
+            m = cap - val._v
+            return PadicNumber._make(p, val._v, val._u % p**m, m)
         w = min(a._v, b._v)
-        cap = min(a.abs_precision, b.abs_precision)
+        cap = min(a._v + a._k, b._v + b._k)
         m = cap - w
-        q = a.prime**m
-        s = (a._unit.residue * a.prime ** (a._v - w)
-             + b._unit.residue * b.prime ** (b._v - w)) % q
-        if s == 0:
-            return PadicNumber.zero(a.prime, cap)
-        return PadicNumber.from_unit(w, PadicInt(a.prime, s, m))
+        s = (a._u * p ** (a._v - w) + b._u * p ** (b._v - w)) % p**m
+        return PadicNumber._normal(p, w, s, m)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return PadicNumber._make(self.prime, self._v, -self._unit)
+        return PadicNumber._make(self.prime, self._v, -self._u % self.prime**self._k, self._k)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -475,9 +468,8 @@ class PadicNumber:
             for z in (a, b):
                 bound += z._zero_known if z.is_zero else z._v
             return PadicNumber.zero(a.prime, bound)
-        k = min(a._unit.precision, b._unit.precision)
-        u = a._unit.residue * b._unit.residue % a.prime**k
-        return PadicNumber._make(a.prime, a._v + b._v, PadicInt(a.prime, u, k))
+        k = min(a._k, b._k)
+        return PadicNumber._make(a.prime, a._v + b._v, a._u * b._u % a.prime**k, k)
 
     __rmul__ = __mul__
 
@@ -495,10 +487,10 @@ class PadicNumber:
             if self.is_exact_zero:
                 return self
             return PadicNumber.zero(self.prime, self._zero_known - other._v)
-        k = min(self._unit.precision, other._unit.precision)
+        k = min(self._k, other._k)
         q = self.prime**k
-        u = self._unit.residue * pow(other._unit.residue, -1, q) % q
-        return PadicNumber._make(self.prime, self._v - other._v, PadicInt(self.prime, u, k))
+        u = self._u * pow(other._u, -1, q) % q
+        return PadicNumber._make(self.prime, self._v - other._v, u, k)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -507,20 +499,16 @@ class PadicNumber:
         if not isinstance(n, int):
             raise ValueError("only integer powers are defined")
         if n == 0:
-            k = self.relative_precision or DEFAULT_PRECISION
-            return PadicNumber(self.prime, 1, k)
+            return PadicNumber._make(self.prime, 0, 1, self._k or DEFAULT_PRECISION)
         if self.is_zero:
             if n < 0:
                 raise ZeroDivisionError("division by zero in Q_p")
             if self.is_exact_zero:
                 return self
             return PadicNumber.zero(self.prime, self._zero_known * n)
-        base = self if n > 0 else PadicNumber(self.prime, 1, self.relative_precision or DEFAULT_PRECISION) / self
-        m = abs(n)
-        k = base._unit.precision
-        q = base.prime**k
-        u = pow(base._unit.residue, m, q)
-        return PadicNumber.from_unit(base._v * m, PadicInt(base.prime, u, k))
+        # a unit's power, or its inverse's, is again a unit mod p^k
+        u = pow(self._u, n, self.prime**self._k)
+        return PadicNumber._make(self.prime, self._v * n, u, self._k)
 
     def __eq__(self, other):
         try:
@@ -533,19 +521,19 @@ class PadicNumber:
             return self.is_zero and other.is_zero
         if self._v != other._v:
             return False
-        return self._unit.congruent(other._unit)
+        return (self._u - other._u) % self.prime ** min(self._k, other._k) == 0
 
     def __hash__(self):
         # equal values share their valuation and leading digit, whatever
         # their precisions; the digits past the first do not survive a cut
         if self.is_zero:
             return hash((self.prime, "zero"))
-        return hash((self.prime, self._v, self._unit.residue % self.prime))
+        return hash((self.prime, self._v, self._u % self.prime))
 
     def __str__(self) -> str:
         if self.is_zero:
             return f"v=0 {self.prime}:1:0"
-        return f"v={self._v} {self._unit}"
+        return f"v={self._v} {self.unit}"
 
     __repr__ = __str__
 
@@ -622,7 +610,7 @@ class Ball:
 
     @property
     def radius(self) -> Fraction:
-        return Fraction(1, self.prime**self.level)
+        return Fraction(self.prime) ** -self.level
 
     def contains(self, x) -> bool:
         return self.center.congruent(x, self.level) if self.level else True

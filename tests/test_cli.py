@@ -337,3 +337,31 @@ def test_work_at_the_cap_still_runs(monkeypatch, capsys):
 def test_synthesis_self_check_exits_with_its_tag(capsys):
     rc, out, err = run(capsys, "prob", "synthesize", "--alpha=0", "--count", "2")
     assert (rc, out) == (2, "") and "[synthesis-check]" in err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["arith", "add", "1", "0"], "v=0 5:12:1 0 0 0 0 0 0 0 0 0 0 0"),
+    (["arith", "mul", "3", "0"], "v=0 5:1:0"),
+    (["arith", "sub", "2", "0", "--prime", "7"], "v=0 7:12:2 0 0 0 0 0 0 0 0 0 0 0"),
+])
+def test_arith_computes_only_the_requested_op(capsys, argv, want):
+    assert run(capsys, *argv)[:2] == (0, want + "\n")
+
+
+def test_arith_division_by_zero_still_refused(capsys):
+    rc, _, err = run(capsys, "arith", "div", "1", "0")
+    assert rc == 1 and "division by zero" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--precision", "-3"],
+    ["arith", "add", "1/3", "2", "--precision", "-3"],
+    ["series", "make", "exp", "--precision", "-2"],
+    ["restrict", "--q", "1", "--momentum", "1", "--precision", "-1"],
+    ["arith", "add", "0", "0", "--precision", "0"],
+    ["embed", "--center", "1", "--level", "1", "--depth", "2", "--precision", "-1"],
+])
+def test_precision_below_one_digit_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert "precision must be at least 1 digit" in err

@@ -6,6 +6,7 @@ inverses.  The library must agree with them exactly.
 """
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,10 @@ from padicmech.core import (
     valuation_and_norm,
     within,
 )
+from padicmech.mechanics import HamiltonianSpec, PhaseState, taylor_integrate
+from padicmech.multi import MultiPoly
+from padicmech.quantum import plane_wave_fields
+from padicmech.series import elementary, evaluate
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -408,3 +413,203 @@ def test_equality_implies_equal_hashes_across_precisions(q, p, ka, kb):
     a, b = PadicNumber(p, q, ka), PadicNumber(p, q, kb)
     assert a == b
     assert hash(a) == hash(b)
+
+
+# --- flat scalar against the nested representation ---------------------------
+#
+# The reference keeps a Q_p value as p^v times a PadicInt unit and does every
+# operation through PadicInt, as PadicNumber once did.  The flat ints must
+# reproduce it on (valuation, unit residue, relative precision, zero_known_to)
+# after every step of a random chain.
+
+class NestedNumber:
+    def __init__(self, p, v, unit, known=None):
+        self.p, self.v, self.unit, self.known = p, v, unit, known
+
+    @classmethod
+    def of(cls, p, value, k):
+        value = Fraction(value)
+        if value == 0:
+            return cls(p, None, None)
+        vn = oracle_valuation(value.numerator, p)
+        vd = oracle_valuation(value.denominator, p)
+        q = p**k
+        u = (value.numerator // p**vn) * pow(value.denominator // p**vd, -1, q) % q
+        return cls(p, vn - vd, PadicInt(p, u, k))
+
+    @classmethod
+    def from_unit(cls, p, v, unit):
+        if unit.residue == 0:
+            return cls(p, None, None, v + unit.precision)
+        s = unit.valuation()
+        if s:
+            unit, v = PadicInt(p, unit.residue // p**s, unit.precision - s), v + s
+        return cls(p, v, unit)
+
+    def key(self):
+        if self.unit is None:
+            return (None, None, None, self.known)
+        return (self.v, self.unit.residue, self.unit.precision, None)
+
+    def abs_precision(self):
+        if self.unit is not None:
+            return self.v + self.unit.precision
+        return math.inf if self.known is None else self.known
+
+    def coerce_precision(self):
+        return DEFAULT_PRECISION if self.unit is None else self.unit.precision
+
+    def coerce(self, other):
+        if isinstance(other, NestedNumber):
+            return other
+        return NestedNumber.of(self.p, other, self.coerce_precision())
+
+    def __add__(self, other):
+        a, b, p = self, self.coerce(other), self.p
+        if a.unit is None or b.unit is None:
+            if a.unit is None and b.unit is None:
+                if a.known is None:
+                    return b
+                if b.known is None:
+                    return a
+                return NestedNumber(p, None, None, min(a.known, b.known))
+            zero, val = (a, b) if a.unit is None else (b, a)
+            if zero.known is None:
+                return val
+            cap = min(zero.known, val.abs_precision())
+            if val.v >= cap:
+                return NestedNumber(p, None, None, cap)
+            return NestedNumber(p, val.v, PadicInt(p, val.unit.residue, cap - val.v))
+        w = min(a.v, b.v)
+        m = min(a.abs_precision(), b.abs_precision()) - w
+        s = a.unit.residue * p ** (a.v - w) + b.unit.residue * p ** (b.v - w)
+        return NestedNumber.from_unit(p, w, PadicInt(p, s, m))
+
+    def __neg__(self):
+        return self if self.unit is None else NestedNumber(self.p, self.v, -self.unit)
+
+    def __sub__(self, other):
+        return self + (-self.coerce(other))
+
+    def __mul__(self, other):
+        a, b, p = self, self.coerce(other), self.p
+        if a.unit is None or b.unit is None:
+            if (a.unit is None and a.known is None) or (b.unit is None and b.known is None):
+                return NestedNumber(p, None, None)
+            bound = sum(z.known if z.unit is None else z.v for z in (a, b))
+            return NestedNumber(p, None, None, bound)
+        k = min(a.unit.precision, b.unit.precision)
+        return NestedNumber(p, a.v + b.v, PadicInt(p, a.unit.residue * b.unit.residue, k))
+
+    def __truediv__(self, other):
+        a, b, p = self, self.coerce(other), self.p
+        if b.unit is None:
+            raise ZeroDivisionError
+        if a.unit is None:
+            return a if a.known is None else NestedNumber(p, None, None, a.known - b.v)
+        return NestedNumber(p, a.v - b.v, a.unit / b.unit)
+
+    def __pow__(self, n):
+        p = self.p
+        if n == 0:
+            return NestedNumber.of(p, 1, self.coerce_precision())
+        if self.unit is None:
+            if n < 0:
+                raise ZeroDivisionError
+            return self if self.known is None else NestedNumber(p, None, None, self.known * n)
+        base = self if n > 0 else NestedNumber.of(p, 1, self.unit.precision) / self
+        return NestedNumber.from_unit(p, base.v * abs(n), base.unit ** abs(n))
+
+    def __eq__(self, other):
+        if self.unit is None or other.unit is None:
+            return self.unit is None and other.unit is None
+        return self.v == other.v and self.unit.congruent(other.unit)
+
+
+def flat_key(x):
+    # the stored residue, not x.unit.residue: the PadicInt view would reduce
+    # a residue that an operation left outside [0, p^K)
+    return (x.valuation, x._u, x.relative_precision, x.zero_known_to)
+
+
+def chain_value(data, p):
+    num = data.draw(st.integers(-10**6, 10**6))
+    den = data.draw(st.integers(1, 200))
+    return Fraction(num, den) * Fraction(p) ** data.draw(st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), p=st.sampled_from(PRIMES))
+def test_flat_arithmetic_matches_nested_reference(data, p):
+    k0 = data.draw(st.integers(1, 20))
+    a0 = chain_value(data, p)
+    x, rx = PadicNumber(p, a0, k0), NestedNumber.of(p, a0, k0)
+    history = [(x, rx)]
+    for _ in range(data.draw(st.integers(1, 10))):
+        op = data.draw(st.sampled_from(["add", "sub", "mul", "div", "pow", "neg"]))
+        if op == "neg":
+            x, rx = -x, -rx
+        elif op == "pow":
+            n = data.draw(st.integers(-2, 2))
+            try:
+                x, rx = x**n, rx**n
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    rx**n
+                break
+        else:
+            kind = data.draw(st.sampled_from(["fresh", "zero", "near", "history", "int"]))
+            k = data.draw(st.integers(1, 20))
+            if kind == "history":
+                y, ry = data.draw(st.sampled_from(history))
+            elif kind == "int":
+                y = ry = data.draw(st.integers(-50, 50))
+            else:
+                if kind == "fresh":
+                    value = chain_value(data, p)
+                elif kind == "zero" or x.is_zero:
+                    value = 0
+                else:
+                    # the current value plus p^(v+j) c cancels about j digits
+                    value = (Fraction(x.unit.residue) * Fraction(p) ** x.valuation
+                             + data.draw(st.integers(1, 50)) * Fraction(p) ** (
+                                 x.valuation + data.draw(st.integers(0, 22))))
+                    if op == "add":
+                        value = -value
+                y, ry = PadicNumber(p, value, k), NestedNumber.of(p, value, k)
+            fn = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+                  "div": operator.truediv}[op]
+            try:
+                x, rx = fn(x, y), fn(rx, ry)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    fn(rx, ry)
+                break
+        assert flat_key(x) == rx.key()
+        x0, rx0 = history[0]
+        assert (x == x0) == (rx == rx0)
+        history.append((x, rx))
+
+
+def test_number_arithmetic_builds_no_padic_int(monkeypatch):
+    p = 7
+    exp, sin = elementary("exp", p, 12), elementary("sin", p, 12)
+    V = MultiPoly(p, 2, {(3, 0): 1, (0, 3): 1, (1, 1): 2})
+    H = HamiltonianSpec(p, [1, 1], V)
+    z0 = PhaseState(p, [2, 3], [1, 4])
+    point = PadicNumber(p, 14)
+
+    def run():
+        flow = taylor_integrate(H, z0, 8)
+        return [exp.compose(sin), evaluate(exp, point, with_tail=True),
+                *flow.q, *flow.p, *plane_wave_fields(p, 3, 1, degree=10)]
+
+    want = run()
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("PadicInt built")
+
+    monkeypatch.setattr(PadicInt, "__init__", refuse)
+    got = run()
+    monkeypatch.undo()  # the literals below print each unit through a PadicInt
+    assert [str(g) for g in got] == [str(w) for w in want]
