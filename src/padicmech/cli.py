@@ -521,9 +521,13 @@ def _with_preset(args, argv: List[str]) -> List[str]:
     return argv[:i] + tokens + argv[i:]
 
 
+_PARSER: Optional[_Parser] = None  # built by the first dispatch, not at import
+
+
 def dispatch(argv: Optional[Sequence[str]] = None) -> int:
+    global _PARSER
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _PARSER = _PARSER or build_parser()
     try:
         args = parser.parse_args(argv)
         if args.preset is not None:

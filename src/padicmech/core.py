@@ -10,7 +10,6 @@ absorbing it silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -278,6 +277,12 @@ class PadicNumber:
     precision a" (written O(p^a)) produced when an addition cancels every
     tracked digit.  The known-cancellation depth is kept on the value so the
     loss is recorded rather than silently absorbed.
+
+    `==` is congruence at the coarser precision, not identity: two nonzero
+    values are equal when their valuations agree and their units agree mod
+    p^min(K), any two zeros are equal whatever their depth, and an int or a
+    Fraction is read at this value's precision first.  So `==` is not
+    transitive, and an int equal to a value hashes differently from it.
     """
 
     __slots__ = ("prime", "_v", "_u", "_k", "_zero_known")
@@ -582,23 +587,27 @@ SECOND_INSIDE_FIRST = "second-inside-first"
 EQUAL = "equal"
 
 
-@dataclass(frozen=True)
-class Ball:
+class _BallFields(NamedTuple):
+    center: PadicInt
+    level: int
+
+
+class Ball(_BallFields):
     """Closed ball U_r(center) in Z_p with r = p^-level.
 
     level counts the fixed leading digits; level 0 is all of Z_p.  Membership
     is decidable from the tracked digits only when level <= K.
     """
 
-    center: PadicInt
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 0:
+    def __new__(cls, center: PadicInt, level: int) -> "Ball":
+        if level < 0:
             raise ValueError("radius above 1 leaves Z_p")
-        if self.level > self.center.precision:
+        if level > center.precision:
             raise ValueError(
-                f"radius p^-{self.level} below representable precision K={self.center.precision}")
+                f"radius p^-{level} below representable precision K={center.precision}")
+        return super().__new__(cls, center, level)
 
     @classmethod
     def from_radius(cls, center: PadicInt, radius: Rational) -> "Ball":

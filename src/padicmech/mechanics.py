@@ -11,7 +11,6 @@ caller to declare one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
@@ -311,10 +310,10 @@ def taylor_integrate(H: HamiltonianSpec, z0: PhaseState, degree: int,
     ..., and at step k each list gains one Cauchy coefficient
     sum_i prev[i] * q[k-i].  That is O(m k) work at step k, O(m D^2) per
     monomial over a run.  The grouping is the one `MultiPoly.substitute`
-    uses, each sum runs over ascending i from an exact zero and skips
-    exact-zero factors as `series._trunc_mul` does, and the monomials are
-    summed in `terms` order, so every coefficient equals the one read off a
-    full substitution, digit for digit and with the same tracked precision.
+    uses, and each Cauchy sum is the slot `series._flat_mul` forms in a full
+    product: the exact products' sum mod p^(least absolute precision), in
+    any order.  So every coefficient equals the one read off a full
+    substitution, digit for digit and with the same tracked precision.
 
     With all data in Z_p the window |t| <= r_p is certified (the recursion's
     only divisions are by k+1, so |c_k| <= p^{v_p(k!)}).  Otherwise a caller-
@@ -365,7 +364,7 @@ def taylor_integrate(H: HamiltonianSpec, z0: PhaseState, degree: int,
 def _cauchy_coeff(f: Sequence[PadicNumber], g: Sequence[PadicNumber], k: int,
                   prime: int) -> PadicNumber:
     """Coefficient k of f*g, where f may stop short of k (exact zeros past
-    its end), summed as `series._trunc_mul` sums it."""
+    its end): the value and precision `series._flat_mul` gives that slot."""
     acc = PadicNumber.zero(prime)
     for i in range(min(k + 1, len(f))):
         a, b = f[i], g[k - i]

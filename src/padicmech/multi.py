@@ -9,6 +9,9 @@ and higher terms are dropped at construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
+from math import prod
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from padicmech.core import (
@@ -19,7 +22,7 @@ from padicmech.core import (
     check_prime,
     radius_exponent,
 )
-from padicmech.series import PowerSeries
+from padicmech.series import _BIG, PowerSeries, _flat_mul, _flatten, _horner, _unflatten
 
 
 def _merge_valid(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -58,6 +61,14 @@ class MultiPoly:
             else:
                 clean[expo] = c
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, prime: int, nvars: int, terms: Dict, valid: Optional[int]) -> "MultiPoly":
+        """Trusted constructor for results already checked: exponent tuples of
+        length nvars capped at `valid`, PadicNumber coefficients, no exact zeros."""
+        out = object.__new__(cls)
+        out.prime, out.nvars, out.terms, out.valid = prime, nvars, terms, valid
+        return out
 
     @classmethod
     def constant(cls, prime: int, nvars: int, c, precision: int = DEFAULT_PRECISION) -> "MultiPoly":
@@ -129,7 +140,10 @@ class MultiPoly:
             return NotImplemented
         self._check(other)
         valid = _merge_valid(self.valid, other.valid)
-        return MultiPoly(self.prime, self.nvars, _capped_mul(self, other, valid), valid)
+        layout = _layout(tuple(map(add, _degrees(self), _degrees(other))), valid)
+        flat = _flat_mul(_flat_terms(self, layout), _flat_terms(other, layout), self.prime,
+                         layout[2])
+        return MultiPoly._raw(self.prime, self.nvars, _terms(flat, layout, self.prime), valid)
 
     __rmul__ = __mul__
 
@@ -207,7 +221,9 @@ class MultiPoly:
         return all(self.terms.get(k, zero) == other.terms.get(k, zero) for k in keys)
 
     def __hash__(self):
-        return hash((self.prime, self.nvars, frozenset(self.terms)))
+        # == treats an inexact-zero term as absent, so its exponent must not count
+        return hash((self.prime, self.nvars,
+                     frozenset(e for e, c in self.terms.items() if not c.is_zero)))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -244,21 +260,30 @@ def compose_series(outer: PowerSeries, inner: MultiPoly) -> MultiPoly:
     else:
         valid = None if inner.valid is None else outer.degree * inner.valid
     valid = _merge_valid(valid, inner.valid)
-    acc = MultiPoly.constant(outer.prime, inner.nvars, outer.coeffs[outer.degree])
-    for n in range(outer.degree - 1, -1, -1):
-        acc = MultiPoly(outer.prime, inner.nvars, _capped_mul(acc, inner, valid)) + outer.coeffs[n]
-    return MultiPoly(outer.prime, inner.nvars, acc.terms, valid)
+    d = outer.degree
+    layout = _layout(tuple(k + (k * d if valid is None else min(max(valid, 0), k * d))
+                           for k in _degrees(inner)), valid)
+    acc = _horner(outer.coeffs, _flat_terms(inner, layout), outer.prime, layout[2])
+    return MultiPoly._raw(outer.prime, inner.nvars, _terms(acc, layout, outer.prime), valid)
 
 
-def _capped_mul(a: MultiPoly, b: MultiPoly,
-                valid: Optional[int]) -> Dict[Tuple[int, ...], PadicNumber]:
-    """Term products of a and b up to total degree `valid`, as a term dict."""
-    out: Dict[Tuple[int, ...], PadicNumber] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            expo = tuple(x + y for x, y in zip(ea, eb))
-            if valid is not None and sum(expo) > valid:
-                continue
-            c = ca * cb
-            out[expo] = out[expo] + c if expo in out else c
-    return out
+def _degrees(f: MultiPoly) -> List[int]:
+    return [max((e[i] for e in f.terms), default=0) for i in range(f.nvars)]
+
+
+def _layout(bounds: Tuple[int, ...], valid: Optional[int]):
+    """Kronecker layout of the exponent box 0..bounds[i], first variable fastest
+    (a product inside the box never carries into the next variable): strides, each
+    slot's exponents, and starting caps that keep slots past `valid` exact zeros."""
+    strides = [prod(b + 1 for b in bounds[:i]) for i in range(len(bounds))]
+    expos = [e[::-1] for e in product(*(range(b + 1) for b in reversed(bounds)))]
+    return strides, expos, [_BIG if valid is None or sum(e) <= valid else -_BIG for e in expos]
+
+
+def _flat_terms(f: MultiPoly, layout):
+    return _flatten(sorted((sum(map(mul, e, layout[0])), c) for e, c in f.terms.items()), f.prime)
+
+
+def _terms(f, layout, p: int) -> Dict[Tuple[int, ...], PadicNumber]:
+    expos = layout[1]
+    return {e: c for e, c in zip(expos, _unflatten(f, len(expos), p)) if not c.is_exact_zero}

@@ -8,9 +8,8 @@ synthesizer manufactures records whose real and p-adic limits differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from padicmech.core import DomainViolation, check_prime, padic_norm, radius_exponent
 
@@ -51,8 +50,7 @@ class FrequencyRecord:
         return f"FrequencyRecord({pairs})"
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     mode: str                   # "real" or "padic"
     window: int
     threshold: Fraction         # epsilon, or p^-s

@@ -12,9 +12,8 @@ elementary series, so the same domain certificates apply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from padicmech.core import (
     DEFAULT_PRECISION,
@@ -263,8 +262,7 @@ def vector_norm(x: HilbertVector) -> Fraction:
     return max(c.padic_size(x.prime) for c in x.coords)
 
 
-@dataclass(frozen=True)
-class SchwarzReport:
+class SchwarzReport(NamedTuple):
     inner: GaussianRational
     inner_size: Fraction
     norm_x: Fraction
@@ -337,8 +335,7 @@ class SymmetricOperator:
 
 # -- Born weights --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BornReport:
+class BornReport(NamedTuple):
     weights: Tuple[GaussianRational, ...]
     normalized_ok: bool
     real_interpretable: bool
@@ -372,8 +369,7 @@ def mixed_state_probabilities(amplitudes: Sequence) -> BornReport:
     return BornReport(weights, True, realish)
 
 
-@dataclass(frozen=True)
-class RebasisReport:
+class RebasisReport(NamedTuple):
     amplitudes: Tuple[GaussianRational, ...]
     weights: Tuple[Fraction, ...]
     total: Fraction
@@ -520,15 +516,13 @@ def interference_term(prime: int, degree: int = 20,
 
 # -- point spectra ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectrumWitness:
+class SpectrumWitness(NamedTuple):
     index: int
     energy: PadicNumber
     gap_norm: Fraction
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     level: int
     energy: PadicNumber
     witnesses: Tuple[SpectrumWitness, ...]

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from padicmech.core import (
@@ -333,7 +336,8 @@ class PowerSeries:
             d = self.degree + _min_order(other)
         else:
             d = min(self.degree, other.degree)
-        coeffs = _trunc_mul(self.coeffs, other.coeffs, d, self.prime)
+        flat = [_flatten(enumerate(h.coeffs[: d + 1]), self.prime) for h in (self, other)]
+        coeffs = _unflatten(_flat_mul(*flat, self.prime, [_BIG] * (d + 1)), d + 1, self.prime)
         radius, geo = self._combine_domain(other)
         pair = self._floors(other)
         floor = pair and pair[0].times(pair[1], d)
@@ -378,12 +382,10 @@ class PowerSeries:
             d = self.degree * inner.degree if self.radius is None else (self.degree + 1) * og - 1
         else:
             d = inner.degree if self.radius is None else min(self.degree, inner.degree)
-        acc = [self.coeffs[self.degree]] + [PadicNumber.zero(self.prime)] * d
-        for n in range(self.degree - 1, -1, -1):
-            acc = _trunc_mul(acc, inner.coeffs, d, self.prime)
-            acc[0] = acc[0] + self.coeffs[n]
+        acc = _horner(self.coeffs, _flatten(enumerate(inner.coeffs[: d + 1]), self.prime),
+                      self.prime, [_BIG] * (d + 1))
         radius, geo, floor = self._composed_domain(inner, orders)
-        return PowerSeries(self.prime, acc, radius, geo, floor)
+        return PowerSeries(self.prime, _unflatten(acc, d + 1, self.prime), radius, geo, floor)
 
     def _composed_domain(self, inner: "PowerSeries", orders):
         p = self.prime
@@ -426,23 +428,72 @@ def _min_order(f: PowerSeries) -> int:
     return 0
 
 
-def _trunc_mul(f: Sequence[PadicNumber], g: Sequence[PadicNumber], d: int,
-               p: int) -> List[PadicNumber]:
-    """Coefficients 0..d of the product of two coefficient lists.
+def _horner(outer: Sequence[PadicNumber], inner, p: int, caps: List[int]):
+    """outer(inner) by Horner's rule on a flat inner vector, flat across steps."""
+    acc = _flatten([(0, outer[-1])], p)
+    for c in reversed(outer[:-1]):
+        acc = _flat_mul(acc, inner, p, caps, c)
+    return acc
 
-    Exact-zero factors are skipped: adding an exact zero returns the other
-    operand, so the sums and their tracked precision are unchanged.
-    """
-    coeffs = [PadicNumber.zero(p)] * (d + 1)
-    g_terms = [(j, b) for j, b in enumerate(g[: d + 1]) if not b.is_exact_zero]
-    for i, a in enumerate(f[: d + 1]):
-        if a.is_exact_zero:
-            continue
-        for j, b in g_terms:
-            if i + j > d:
+
+def _flatten(items, p: int):
+    """The flat vector (m, K, X, V, A) of (slot, PadicNumber) pairs in slot order: the
+    slots K that are not exact zeros, and for each the int X with value X * p^m, known
+    mod p^(m + A), of valuation m + V; an inexact zero known to z has X = 0, V = A = z - m."""
+    items = [(k, c) for k, c in items if not c.is_exact_zero]
+    V = [c._v if c._zero_known is None else c._zero_known for _, c in items]
+    m = min(V, default=0)
+    V = [v - m for v in V]
+    X = [0 if c._v is None else c._u * p ** v for (_, c), v in zip(items, V)]
+    return m, [k for k, _ in items], X, V, [v + (c._k or 0) for (_, c), v in zip(items, V)]
+
+
+def _flat_mul(f, g, p: int, caps: List[int], plus: Optional[PadicNumber] = None):
+    """f*g, plus `plus` in slot 0, on slots 0..len(caps)-1 (a slot starting at
+    cap -_BIG stays an exact zero), flat, each slot reduced and its valuation
+    recomputed.  Slot k is the exact sum of X_i*Y_j over i + j = k mod p^cap,
+    cap the least min(A_i + V_j, V_i + A_j): a PadicNumber sum of products is
+    that, in any order.  The outer loop runs over the sparser factor."""
+    if len(f[1]) > len(g[1]):
+        f, g = g, f
+    (mf, Kf, Xf, Vf, Af), (mg, Kg, Xg, Vg, Ag) = f, g
+    n = min(len(caps), Kf[-1] + Kg[-1] + 1 if Kf and Kg else 1)
+    plus = None if plus is None or plus.is_exact_zero else _flatten([(0, plus)], p)
+    w = mf + mg
+    lo = min(w, plus[0]) if plus else w
+    up = p ** (w - lo)  # the values below count in units of p^lo
+    cap, value, inner = caps[:n], [0] * n, list(zip(Kg, Xg, Vg, Ag))
+    for j, x, v, a in zip(Kf, Xf, Vf, Af):
+        x *= up
+        for i, y, vi, ai in inner:
+            k = i + j
+            if k >= n:
                 break
-            coeffs[i + j] = coeffs[i + j] + a * b
-    return coeffs
+            c, c2 = a + vi, v + ai
+            if c2 < c:
+                c = c2
+            if c < cap[k]:
+                cap[k] = c
+            value[k] += x * y
+    if plus:
+        pm, _, (px,), _, (pa,) = plus
+        cap[0] = min(cap[0], pm + pa - w)
+        value[0] += px * p ** (pm - lo)
+    live = [k for k in range(n) if abs(cap[k]) < _BIG // 2]
+    A = [cap[k] + w - lo for k in live]
+    pw = list(accumulate(repeat(p, max(A, default=0)), mul, initial=1))
+    exponent = {q: e for e, q in enumerate(pw)}
+    X = [value[k] % pw[a] for k, a in zip(live, A)]
+    return lo, live, X, [exponent[gcd(x, pw[a])] for x, a in zip(X, A)], A  # gcd(0, q) = q
+
+
+def _unflatten(f, n: int, p: int) -> List[PadicNumber]:
+    """Slots 0..n-1 of a flat vector as PadicNumbers."""
+    m, K, X, V, A = f
+    out = [PadicNumber.zero(p)] * n
+    for k, x, v, a in zip(K, X, V, A):
+        out[k] = PadicNumber._make(p, m + v, x // p ** v, a - v) if x else PadicNumber.zero(p, m + a)
+    return out
 
 
 def series_combine(op: str, f: PowerSeries, g: Optional[PowerSeries] = None) -> PowerSeries:

@@ -314,6 +314,35 @@ def test_abbreviated_flag_beats_preset(tmp_path, capsys):
     assert rc == 0 and out.startswith("5:1:[v=0 5:3:")
 
 
+def test_cached_parser_keeps_no_state_between_parses(tmp_path, capsys, monkeypatch):
+    from padicmech import cli
+    commands = [
+        ("series", "make", "exp", "--preset", _preset(tmp_path, "degree=3\nprecision=5\n")),
+        ("arith", "add", "1/3", "2"),
+        ("series", "make", "exp", "--format", "xml"),
+        ("arith", "add"),  # operands is nargs="*"
+    ]
+    dispatch(["arith", "add", "1", "2"])
+    shared = cli._PARSER
+    capsys.readouterr()
+    cached = [run(capsys, *argv) for argv in commands]
+    assert cli._PARSER is shared
+    fresh = []
+    for argv in commands:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert [rc for rc, _, _ in cached] == [0, 0, 1, 1]
+
+
+def test_parser_is_not_built_at_import():
+    import subprocess
+    import sys
+    code = "import padicmech.cli as c; print(c._PARSER)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "None"
+
+
 @pytest.mark.parametrize("argv", [
     ["embed", "--center", "0", "--level", "0", "--depth", "2", "--prime", "5"],
     ["quantum", "schwarz", "--count", "11", "--prime", "7"],

@@ -32,6 +32,17 @@ def test_partial_derivative():
     assert f.partial(0).partial(1) == x * 2
 
 
+def test_hash_agrees_with_eq_on_inexact_zero_terms():
+    p = 5
+    zero = PadicNumber(p, 1) - PadicNumber(p, 1)  # inexact, known to 5^12
+    f, g = MultiPoly(p, 2, {(1, 0): zero}), MultiPoly(p, 2, {})
+    assert f == g
+    assert hash(f) == hash(g)
+    assert len({f, g}) == 1
+    h = MultiPoly(p, 2, {(1, 0): zero, (0, 1): 3})
+    assert h == MultiPoly(p, 2, {(0, 1): 3}) and hash(h) == hash(MultiPoly(p, 2, {(0, 1): 3}))
+
+
 @given(st.data())
 def test_arithmetic_matches_pointwise_oracle(data):
     p = 7
